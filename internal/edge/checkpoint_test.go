@@ -1,12 +1,33 @@
-package transport
+package edge
 
 import (
 	"path/filepath"
 	"testing"
+	"time"
 
 	"pkgstream/internal/hotkey"
 	"pkgstream/internal/rng"
+	"pkgstream/internal/route"
+	"pkgstream/internal/transport"
+	"pkgstream/internal/wire"
 )
+
+// startWorkers spins up n counting workers on ephemeral loopback ports.
+func startWorkers(t *testing.T, n int) ([]*transport.Worker, []string) {
+	t.Helper()
+	workers := make([]*transport.Worker, n)
+	addrs := make([]string, n)
+	for i := range workers {
+		w, err := transport.ListenWorker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[i] = w
+		addrs[i] = w.Addr()
+		t.Cleanup(func() { _ = w.Close() })
+	}
+	return workers, addrs
+}
 
 // skewedKeys returns a deterministic stream of n keys: key 1 with
 // probability p, the rest uniform over [2, 2+tail).
@@ -22,10 +43,10 @@ func skewedKeys(n int, p float64, tail uint64, seed uint64) []uint64 {
 	return keys
 }
 
-func sendAll(t *testing.T, src *Source, keys []uint64) {
+func sendAll(t *testing.T, src *Wire, keys []uint64) {
 	t.Helper()
 	for _, k := range keys {
-		if err := src.Send(k); err != nil {
+		if err := src.SendTuple(&wire.Tuple{KeyHash: k}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,7 +55,7 @@ func sendAll(t *testing.T, src *Source, keys []uint64) {
 	}
 }
 
-func workerImbalance(ws []*Worker) float64 {
+func workerImbalance(ws []*transport.Worker) float64 {
 	var max, sum int64
 	for _, w := range ws {
 		p := w.Processed()
@@ -46,20 +67,19 @@ func workerImbalance(ws []*Worker) float64 {
 	return float64(max) - float64(sum)/float64(len(ws))
 }
 
-// TestSketchCheckpointRestoresHeadClassification: a source that
+// TestSketchCheckpointRestoresHeadClassification: a sender that
 // checkpoints its Space-Saving sketch on Close and re-warms from the
 // file on dial classifies a known head key as head from its very first
-// message — the restarted source never routes it cold (the ROADMAP gap
-// this satellite closes).
+// message — the restarted sender never routes it cold.
 func TestSketchCheckpointRestoresHeadClassification(t *testing.T) {
 	const w, n = 12, 8192
 	_, addrs := startWorkers(t, w)
 	path := filepath.Join(t.TempDir(), "sketch.ckpt")
-	opts := SourceOptions{Mode: ModeDChoices, Seed: 42, SketchPath: path}
+	opts := WireOptions{Mode: route.StrategyDChoices, Seed: 42, SketchPath: path}
 
 	// First life: key 1 carries 70% — beyond the head threshold
 	// dCap(1+ε)/W = 6·1.25/12 = 0.625 (adaptive dCap = ⌈W/2⌉).
-	src1, err := DialSourceOpts(addrs, opts)
+	src1, err := DialWire(addrs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +93,7 @@ func TestSketchCheckpointRestoresHeadClassification(t *testing.T) {
 
 	// Second life: the restored classifier must be head-aware *before*
 	// any observation.
-	src2, err := DialSourceOpts(addrs, opts)
+	src2, err := DialWire(addrs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +106,13 @@ func TestSketchCheckpointRestoresHeadClassification(t *testing.T) {
 		t.Fatalf("restored sketch weight %d (ok=%v), want %d", sum.N, ok, n)
 	}
 
+	// A mode that keeps no sketch rejects a SketchPath.
+	if _, err := DialWire(addrs, WireOptions{Mode: route.StrategyPKG, SketchPath: path}); err == nil {
+		t.Fatal("SketchPath accepted for PKG")
+	}
+
 	// A restart WITHOUT the checkpoint routes the same key cold.
-	cold, err := DialSourceOpts(addrs, SourceOptions{Mode: ModeDChoices, Seed: 42})
+	cold, err := DialWire(addrs, WireOptions{Mode: route.StrategyDChoices, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +122,7 @@ func TestSketchCheckpointRestoresHeadClassification(t *testing.T) {
 	}
 }
 
-// TestRestartedSourceImbalanceWithin2x is the PR-4 acceptance
+// TestRestartedSourceImbalanceWithin2x is the restart acceptance
 // criterion: killing and restarting a D-Choices source mid-stream, with
 // the sketch checkpointed across the restart, leaves the end-to-end
 // worker imbalance within 2x of the uninterrupted run — and strictly
@@ -116,8 +141,8 @@ func TestRestartedSourceImbalanceWithin2x(t *testing.T) {
 
 	run := func(sketchPath string, restart, restoreSecondLife bool) float64 {
 		workers, addrs := startWorkers(t, w)
-		opts := SourceOptions{Mode: ModeDChoices, Seed: seed, Hot: hot, SketchPath: sketchPath}
-		src, err := DialSourceOpts(addrs, opts)
+		opts := WireOptions{Mode: route.StrategyDChoices, Seed: seed, Hot: hot, SketchPath: sketchPath}
+		src, err := DialWire(addrs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +160,7 @@ func TestRestartedSourceImbalanceWithin2x(t *testing.T) {
 			if !restoreSecondLife {
 				second.SketchPath = ""
 			}
-			src2, err := DialSourceOpts(addrs, second)
+			src2, err := DialWire(addrs, second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +169,9 @@ func TestRestartedSourceImbalanceWithin2x(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		waitTotal(t, workers, n)
+		if err := waitTotal(workers, n, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
 		return workerImbalance(workers)
 	}
 

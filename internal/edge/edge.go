@@ -13,11 +13,12 @@
 //   - Local wraps the engine's bounded batch channels — the PR 1 hot
 //     path, unchanged: Send is one channel operation per batch, and
 //     backpressure is the channel blocking when the receiver lags;
-//   - Wire carries tuples over TCP with credit-based flow control
-//     (wire.Credit / wire.Ack): the sender keeps at most Window
-//     unacknowledged data frames in flight per connection, so a slow
-//     remote worker stalls the upstream spout exactly like a full
-//     local channel does.
+//   - Wire carries tuples — and, on the partial → final hop, flushed
+//     partials — over TCP with credit-based flow control (wire.Credit /
+//     wire.Ack): the sender keeps at most Window unacknowledged data
+//     items in flight per connection, so a slow remote worker stalls
+//     its upstream exactly like a full local channel does. It is the
+//     only routed TCP sender in the tree.
 package edge
 
 // Edge is one directed topology hop fanning out to n destination

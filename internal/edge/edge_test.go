@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -258,10 +259,24 @@ func TestWireEdgeBatchFIFOAcrossRedial(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Kill the gated worker mid-batch (its blocked tuples drop
-	// unrecorded) and bring an ungated replacement up on the address.
+	// Kill the gated worker mid-batch and bring an ungated replacement
+	// up on the address. The connection drops while the handler is
+	// still gated, and the handler is released (its blocked tuples drop
+	// unrecorded) only once the sender has seen the drop: released
+	// first, the old worker could absorb and ack the whole stream
+	// before its connection closed, and nothing would reach the
+	// replacement.
+	closed := make(chan error, 1)
+	go func() { closed <- w1.Close() }()
+	deadline = time.Now().Add(5 * time.Second)
+	for !connBroken(e, 0) {
+		if time.Now().After(deadline) {
+			t.Fatal("sender never saw the worker's connection drop")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(h1.abort)
-	if err := w1.Close(); err != nil {
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	h2 := &seqRecorder{}
@@ -298,6 +313,17 @@ func TestWireEdgeBatchFIFOAcrossRedial(t *testing.T) {
 	if st := e.Stats(); st.Retries == 0 {
 		t.Fatalf("no retries recorded across the restart: %+v", st)
 	}
+}
+
+// connBroken reports whether the ack reader of e's connection to dst
+// has seen that connection break.
+func connBroken(e *Wire, dst int) bool {
+	e.csMu.Lock()
+	c := e.cs[dst]
+	e.csMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err != nil
 }
 
 // TestWireFlushCloseNilConnGuard: a nil connection slot (a redial in
@@ -538,3 +564,44 @@ func (r *recordingHandler) HandleMark(m wire.Mark) {
 	r.inner.HandleMark(m)
 }
 func (r *recordingHandler) HandleQuery(q wire.Query) wire.Reply { return r.inner.HandleQuery(q) }
+
+// TestWireCloseDeliversTail: Close returns only once the node has read
+// everything sent before it, here to a node still gated when Close
+// starts. A sender that closed outright would turn the node's next ack
+// into a connection reset, cutting off the unread tail and its final
+// mark.
+func TestWireCloseDeliversTail(t *testing.T) {
+	const window = 8
+	g := &gatedHandler{gate: make(chan struct{})}
+	rec := &recordingHandler{inner: g}
+	w, err := transport.ListenHandler("127.0.0.1:0", rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	e, err := DialWire([]string{w.Addr()}, WireOptions{Seed: 1, Window: window, MaxBatchTuples: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tup := wire.Tuple{KeyHash: 5}
+	for i := 0; i < window; i++ {
+		if err := e.SendTuple(&tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Watermark(0, math.MaxInt64); err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(50*time.Millisecond, func() { close(g.gate) })
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Processed(); got != window {
+		t.Fatalf("node absorbed %d/%d tuples when Close returned", got, window)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.markAt != window {
+		t.Fatalf("final mark handled after %d tuples, want %d", rec.markAt, window)
+	}
+}

@@ -86,6 +86,12 @@ type WireOptions struct {
 	// estimates arrive, routing is byte-identical to the unweighted
 	// argmin.
 	WeightedRouting bool
+	// SketchPath checkpoints the hot-key sketch of the frequency-aware
+	// modes: restored on dial when the file exists (so a restarted
+	// sender classifies head keys as head from its first message
+	// instead of routing them cold until the sketch re-warms), written
+	// on Close. Setting it for a sketch-free mode is an error.
+	SketchPath string
 }
 
 // wireConn is one flow-controlled connection of a Wire edge. The
@@ -105,6 +111,8 @@ type wireConn struct {
 	// them. Both reset on redial with the rest of the credit session.
 	epochTuples  int64
 	epochStallNs int64
+
+	done chan struct{} // closed when the ack reader exits
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -288,6 +296,11 @@ func DialWire(addrs []string, o WireOptions) (*Wire, error) {
 		return nil, fmt.Errorf("edge: %w", err)
 	}
 	w.part = part
+	if o.SketchPath != "" {
+		if err := w.restoreSketch(); err != nil {
+			return nil, err
+		}
+	}
 	for i, a := range addrs {
 		if err := w.connect(i, a); err != nil {
 			w.Close()
@@ -358,7 +371,7 @@ func (w *Wire) connect(i int, addr string) error {
 		return fmt.Errorf("edge: dial %s: %w", addr, err)
 	}
 	c := &wireConn{conn: conn, w: bufio.NewWriterSize(conn, 1<<17),
-		dst: i, window: w.window}
+		dst: i, window: w.window, done: make(chan struct{})}
 	if w.opts.AdaptiveWindow {
 		c.ctl = newAIMD(w.window, w.winFloor, w.winCeil)
 	}
@@ -393,6 +406,7 @@ func (w *Wire) connect(i int, addr string) error {
 // the connection's credit. It exits when the connection breaks (the
 // sticky error wakes and fails any blocked sender).
 func (w *Wire) readAcks(c *wireConn) {
+	defer close(c.done)
 	r := bufio.NewReaderSize(c.conn, 1<<12)
 	var buf []byte
 	for {
@@ -526,6 +540,23 @@ func (w *Wire) SendTuple(t *wire.Tuple) error {
 	err := w.batchTuple(dst, t)
 	w.unlock()
 	return err
+}
+
+// SendPartial routes one flushed (key, window) partial by its KeyHash
+// and ships it as one KindPartial frame under the same credit window
+// and redial path as tuples (a partial costs one credit). Partials
+// never wait in the tuple batch buffers. The final stage key-groups
+// partials — all partials of a key must meet at one node — so the
+// partial → final hop dials its edge with StrategyKG.
+func (w *Wire) SendPartial(p *wire.Partial) error {
+	dst := w.part.Route(p.KeyHash)
+	if w.view != nil {
+		w.view.Add(dst)
+	}
+	w.lock()
+	defer w.unlock()
+	w.scratch = wire.AppendPartial(w.scratch[:0], p)
+	return w.sendFrame(dst, w.scratch, p.TraceID)
 }
 
 // Send implements Edge: the caller has already routed the batch to
@@ -858,9 +889,10 @@ func (w *Wire) Flush() error {
 	return nil
 }
 
-// Close implements Edge: stop the linger flusher, ship any accumulated
-// batches, then flush and close every connection (their reader
-// goroutines exit on the close).
+// Close implements Edge: stop the linger flusher, checkpoint the
+// hot-key sketch when a SketchPath is set, ship any accumulated
+// batches, then flush and hang up every connection (see hangUp), so
+// Close returns once the nodes have absorbed everything sent.
 func (w *Wire) Close() error {
 	if w.lingerStop != nil {
 		w.lingerOnce.Do(func() { close(w.lingerStop) })
@@ -868,6 +900,9 @@ func (w *Wire) Close() error {
 	w.lock()
 	defer w.unlock()
 	var first error
+	if w.opts.SketchPath != "" {
+		first = w.saveSketch()
+	}
 	for i, c := range w.cs {
 		if c == nil {
 			continue
@@ -881,17 +916,41 @@ func (w *Wire) Close() error {
 		if err := c.w.Flush(); err != nil && first == nil {
 			first = err
 		}
-		if err := c.conn.Close(); err != nil && first == nil {
+		if err := w.hangUp(c); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
+// hangUp closes connection c without losing its tail. Closing outright
+// while the node is still behind resets the connection — an ack unread
+// at close time, or one the node sends afterwards, draws a reset — and
+// the reset discards whatever the node has not read yet: the end of
+// the stream and its final marks. So the edge half-closes first: the
+// FIN queues behind every byte already sent, the node absorbs them
+// all, reads EOF and hangs up, and the ack reader exits. A node that
+// never hangs up is cut off after DialTimeout.
+func (w *Wire) hangUp(c *wireConn) error {
+	if tc, ok := c.conn.(*net.TCPConn); ok && tc.CloseWrite() == nil {
+		t := time.NewTimer(w.opts.DialTimeout)
+		select {
+		case <-c.done:
+		case <-t.C:
+		}
+		t.Stop()
+	}
+	return c.conn.Close()
+}
+
 // Candidates returns the key's candidate nodes under this edge's
-// router — the probe set point queries must cover (widened for hot
-// keys under the frequency-aware modes, exactly as transport sources
-// report it).
+// router — the probe set point queries must cover (all nodes for SG,
+// one for KG, the d hash choices for PKG, widened for hot keys under
+// the frequency-aware modes). For those modes the set reflects the
+// key's *current* class: a key that cooled down since it was last
+// routed may hold stale partial counts on nodes outside the returned
+// set, so exact point queries across a class change must widen to the
+// key's historical maximum (or simply all nodes).
 func (w *Wire) Candidates(key uint64) []int {
 	return route.ProbeSet(w.part, key)
 }

@@ -3,12 +3,14 @@ package transport
 import (
 	"testing"
 
+	"pkgstream/internal/edge"
 	"pkgstream/internal/rng"
+	"pkgstream/internal/route"
 )
 
 // sendSkewed streams n keys: key 1 with probability p, the rest uniform
 // over [2, 2+tail).
-func sendSkewed(t *testing.T, src *Source, n int, p float64, tail uint64, seed uint64) {
+func sendSkewed(t *testing.T, src *edge.Wire, n int, p float64, tail uint64, seed uint64) {
 	t.Helper()
 	r := rng.NewStream(seed, 0)
 	for i := 0; i < n; i++ {
@@ -16,13 +18,9 @@ func sendSkewed(t *testing.T, src *Source, n int, p float64, tail uint64, seed u
 		if r.Float64() >= p {
 			key = 2 + r.Uint64()%tail
 		}
-		if err := src.Send(key); err != nil {
-			t.Fatal(err)
-		}
+		send(t, src, key)
 	}
-	if err := src.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	flush(t, src)
 }
 
 // TestDChoicesSpreadsHotKeyOverTCP runs the frequency-aware source
@@ -32,11 +30,7 @@ func sendSkewed(t *testing.T, src *Source, n int, p float64, tail uint64, seed u
 func TestDChoicesSpreadsHotKeyOverTCP(t *testing.T) {
 	const n, w = 30_000, 12
 	workers, addrs := startWorkers(t, w)
-	src, err := DialSourceD(addrs, ModeDChoices, 42, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	src := dial(t, addrs, edge.WireOptions{Mode: route.StrategyDChoices, Seed: 42})
 	sendSkewed(t, src, n, 0.5, 2_000, 9)
 	waitTotal(t, workers, n)
 
@@ -92,11 +86,7 @@ func TestDChoicesSpreadsHotKeyOverTCP(t *testing.T) {
 func TestWChoicesHeadUsesAllWorkersOverTCP(t *testing.T) {
 	const n, w = 20_000, 8
 	workers, addrs := startWorkers(t, w)
-	src, err := DialSourceD(addrs, ModeWChoices, 7, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	src := dial(t, addrs, edge.WireOptions{Mode: route.StrategyWChoices, Seed: 7})
 	sendSkewed(t, src, n, 0.6, 1_000, 3)
 	waitTotal(t, workers, n)
 

@@ -1,19 +1,22 @@
-// Package transport runs partial key grouping across real network
-// boundaries: worker processes listen on TCP, source processes hold one
-// connection per worker and route each frame with a partitioner driven
-// by their own local load estimate — nothing but keys and already-local
+// Package transport is the receiving side of partial key grouping
+// across real network boundaries: worker processes listen on TCP and
+// dispatch every decoded frame to a pluggable Handler — the classic
+// partial counter (CountHandler), a hosted windowed partial or final
+// stage (window.PartialHandler, window.FinalHandler), or any custom
+// one. The sending side is internal/edge.Wire, the one routed,
+// credit-flow-controlled sender for both the spout → partial and the
+// partial → final hop: it routes each frame with a partitioner driven
+// by its own local load estimate — nothing but keys and already-local
 // state ever crosses the wire, which is the paper's whole point: PKG
 // needs no load gossip, no routing-table synchronization and no
 // coordination among sources.
 //
 // Frames are the versioned, length-prefixed binary protocol of
-// internal/wire: tuples (fire and forget), windowed partials and
+// internal/wire: tuples and tuple batches, windowed partials and
 // watermark marks (the two-phase aggregation's distributed form),
-// sketch snapshots (source checkpoints), and point-query
-// request/replies. The processing side of a worker is a pluggable
-// Handler — the classic partial counter (CountHandler), or the windowed
-// final stage (window.FinalHandler) so an aggregation's merge phase can
-// live in another process.
+// credit and acks (flow control), point-query request/replies and
+// push subscriptions. The query clients here (Query, QueryAddr,
+// DrainResults, SubscribeResults) open their own connections.
 //
 // A distributed point query probes only the key's candidate workers —
 // two under PKG — and sums their partial counts (§VI.A).
@@ -21,20 +24,14 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pkgstream/internal/hotkey"
-	"pkgstream/internal/metrics"
-	"pkgstream/internal/route"
-	"pkgstream/internal/sketch"
 	"pkgstream/internal/wire"
 )
 
@@ -486,432 +483,6 @@ func (w *Worker) Close() error {
 	w.mu.Unlock()
 	w.wg.Wait()
 	return err
-}
-
-// Mode selects the source's partitioning strategy. It is the shared
-// strategy type of the routing core — transport no longer keeps its own
-// enumeration.
-type Mode = route.Strategy
-
-// Source partitioning modes. Note the numeric values follow the shared
-// Strategy ordering (KG=0, SG=1, PKG=2), not this package's historical
-// one (PKG was 0): always use the named constants — a raw integer or a
-// zero-valued Mode now selects KG, not PKG.
-const (
-	// ModePKG routes with partial key grouping on a local load estimate.
-	ModePKG = route.StrategyPKG
-	// ModeKG routes with a single hash.
-	ModeKG = route.StrategyKG
-	// ModeSG routes round-robin.
-	ModeSG = route.StrategySG
-	// ModeDChoices routes with frequency-aware PKG (ICDE 2016
-	// follow-up): the source carries its own Space-Saving sketch and
-	// widens hot keys to d > 2 candidate workers. Nothing but the keys
-	// ever crosses the wire — classification is per-source, so zero
-	// coordination is preserved.
-	ModeDChoices = route.StrategyDChoices
-	// ModeWChoices spreads keys above the hot threshold round-robin
-	// over every worker, again from purely source-local state.
-	ModeWChoices = route.StrategyWChoices
-)
-
-// SourceOptions parameterizes DialSourceOpts. The zero value of every
-// field except Mode picks the historical defaults.
-type SourceOptions struct {
-	// Mode is the partitioning strategy.
-	Mode Mode
-	// Seed derives the candidate hash functions; it must match across
-	// the sources of one stream (the only thing they share — baked into
-	// the binary, never communicated).
-	Seed uint64
-	// Start decorrelates shuffle round-robins of parallel sources.
-	Start int
-	// D is the number of hash choices for PKG ("Greedy-d") and the
-	// hot-key width for D-Choices; 0 selects 2 (PKG) / adaptive
-	// (D-Choices). Ignored by the other modes.
-	D int
-	// SourceID identifies this source in the watermark marks it emits
-	// (wire.Mark.Source); 0 adopts Start. Parallel sources feeding one
-	// final stage must use distinct IDs, since the final advances on
-	// the minimum watermark across live sources.
-	SourceID int
-	// Hot carries the hot-key classification knobs for the
-	// frequency-aware modes (Workers is filled from the address count).
-	Hot hotkey.Config
-	// SketchPath checkpoints the hot-key sketch of the frequency-aware
-	// modes: restored on dial when the file exists (so a restarted
-	// source classifies head keys as head from its first message
-	// instead of routing them cold until the sketch re-warms), written
-	// on Close. Setting it for a sketch-free mode is an error.
-	SketchPath string
-}
-
-// Source is a stream source holding one TCP connection per worker and a
-// router over them. Each Source keeps its own local load estimate —
-// parallel sources never talk to each other.
-type Source struct {
-	conns []net.Conn
-	bufs  []*bufio.Writer
-	rds   []*bufio.Reader
-	part  route.Router
-	pkg   *route.PKG
-	view  *metrics.Load
-	sent  int64
-
-	id         uint32
-	sketchPath string
-	scratch    []byte
-}
-
-// DialSource connects to the given worker addresses with the paper's two
-// hash choices. The seed must match across sources so their candidate
-// hash functions agree (the only thing sources share — and it is baked
-// into the binary, not communicated). start decorrelates shuffle
-// round-robins of parallel sources.
-func DialSource(addrs []string, mode Mode, seed uint64, start int) (*Source, error) {
-	return DialSourceOpts(addrs, SourceOptions{Mode: mode, Seed: seed, Start: start, D: 2})
-}
-
-// DialSourceD is DialSource generalized to d hash choices for PKG
-// ("Greedy-d") and to the hot-key width for D-Choices (d ≤ 2 selects
-// the adaptive policy there; d is ignored by the other modes). Point
-// queries probe a key's candidate workers, so larger d trades query
-// fan-out for balance.
-func DialSourceD(addrs []string, mode Mode, seed uint64, start, d int) (*Source, error) {
-	if mode == ModePKG && d <= 0 {
-		// Explicitly requesting zero choices is an error here; only the
-		// options struct's zero value means "default" (DialSourceOpts).
-		return nil, fmt.Errorf("transport: PKG needs at least one choice, got d=%d", d)
-	}
-	return DialSourceOpts(addrs, SourceOptions{Mode: mode, Seed: seed, Start: start, D: d})
-}
-
-// DialSourceOpts is the fully parameterized dial.
-func DialSourceOpts(addrs []string, o SourceOptions) (*Source, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("transport: no worker addresses")
-	}
-	d := o.D
-	if o.Mode == ModePKG {
-		if d == 0 {
-			d = 2 // the paper's two choices
-		}
-		if d < 0 {
-			return nil, fmt.Errorf("transport: PKG needs at least one choice, got d=%d", d)
-		}
-		if d > len(addrs) {
-			// Every worker is already a candidate; clamping keeps the
-			// candidate set duplicate-free so point queries never
-			// double-count a worker's partial count.
-			d = len(addrs)
-		}
-	}
-	s := &Source{id: uint32(o.SourceID)}
-	if o.SourceID == 0 {
-		s.id = uint32(o.Start)
-	}
-	for _, a := range addrs {
-		conn, err := net.DialTimeout("tcp", a, 5*time.Second)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("transport: dial %s: %w", a, err)
-		}
-		s.conns = append(s.conns, conn)
-		s.bufs = append(s.bufs, bufio.NewWriterSize(conn, 1<<16))
-		s.rds = append(s.rds, bufio.NewReaderSize(conn, 1<<12))
-	}
-	n := len(addrs)
-	switch o.Mode {
-	case ModePKG:
-		s.view = metrics.NewLoad(n)
-		s.pkg = route.NewPKG(n, d, o.Seed, s.view)
-		s.part = s.pkg
-	case ModeKG:
-		s.part = route.NewKeyGrouping(n, o.Seed)
-	case ModeSG:
-		s.part = route.NewShuffleGrouping(n, o.Start)
-	case ModeDChoices, ModeWChoices:
-		// This source's sketch: frequency classification, like the load
-		// estimate, never leaves the process. d ≤ 2 means adaptive (the
-		// classifier clamps fixed widths beyond W internally).
-		hc := o.Hot
-		if d > 2 && hc.D == 0 {
-			hc.D = d
-		}
-		s.view = metrics.NewLoad(n)
-		r, err := route.New(route.Config{
-			Strategy: o.Mode, Workers: n, Seed: o.Seed, Start: o.Start,
-			View: s.view, Hot: hc,
-		})
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.part = r
-	default:
-		s.Close()
-		return nil, fmt.Errorf("transport: unknown mode %d", o.Mode)
-	}
-	if o.SketchPath != "" {
-		if _, ok := s.part.(route.HotAware); !ok {
-			s.Close()
-			return nil, fmt.Errorf("transport: SketchPath set for mode %v, which keeps no sketch", o.Mode)
-		}
-		if err := s.restoreSketch(o.SketchPath); err != nil {
-			// sketchPath is still unset here, so the failure-path Close
-			// cannot overwrite the (possibly corrupt) checkpoint with a
-			// fresh empty sketch — the evidence survives for inspection.
-			s.Close()
-			return nil, err
-		}
-		s.sketchPath = o.SketchPath
-	}
-	return s, nil
-}
-
-// Send routes one key to its worker — the classic fire-and-forget data
-// path, now a minimal wire tuple.
-func (s *Source) Send(key uint64) error {
-	w := s.part.Route(key)
-	if s.view != nil {
-		s.view.Add(w)
-	}
-	var err error
-	s.scratch, err = wire.AppendTuple(s.scratch[:0], &wire.Tuple{KeyHash: key})
-	if err != nil {
-		return err
-	}
-	if _, err := s.bufs[w].Write(s.scratch); err != nil {
-		return fmt.Errorf("transport: send to worker %d: %w", w, err)
-	}
-	s.sent++
-	return nil
-}
-
-// SendTuple routes one full tuple (string key, event time, values) by
-// its KeyHash.
-func (s *Source) SendTuple(t *wire.Tuple) error {
-	w := s.part.Route(t.KeyHash)
-	if s.view != nil {
-		s.view.Add(w)
-	}
-	var err error
-	s.scratch, err = wire.AppendTuple(s.scratch[:0], t)
-	if err != nil {
-		return err
-	}
-	if _, err := s.bufs[w].Write(s.scratch); err != nil {
-		return fmt.Errorf("transport: send to worker %d: %w", w, err)
-	}
-	s.sent++
-	return nil
-}
-
-// SendPartial routes one flushed (key, window) partial by its KeyHash.
-// The final stage key-groups partials, so use ModeKG when the
-// destination workers host a windowed final stage — all partials of a
-// key must meet at one node.
-func (s *Source) SendPartial(p *wire.Partial) error {
-	w := s.part.Route(p.KeyHash)
-	if s.view != nil {
-		s.view.Add(w)
-	}
-	s.scratch = wire.AppendPartial(s.scratch[:0], p)
-	if _, err := s.bufs[w].Write(s.scratch); err != nil {
-		return fmt.Errorf("transport: send partial to worker %d: %w", w, err)
-	}
-	s.sent++
-	return nil
-}
-
-// SendMark broadcasts this source's watermark to every worker: the
-// source promises to never again send a tuple or partial with event
-// time below wm (math.MaxInt64: this source is done). Buffered frames
-// are flushed first so the promise arrives after everything it covers.
-func (s *Source) SendMark(wm int64) error {
-	return s.SendMarkFrom(s.id, wm)
-}
-
-// SendMarkFrom is SendMark with an explicit source ID — for funnels
-// that relay the watermarks of several upstream sources (the windowed
-// remote-final forwarder relays one mark per partial instance) over a
-// single connection set.
-func (s *Source) SendMarkFrom(source uint32, wm int64) error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	s.scratch = wire.AppendMark(s.scratch[:0], wire.Mark{Source: source, WM: wm})
-	for i, b := range s.bufs {
-		if _, err := b.Write(s.scratch); err != nil {
-			return fmt.Errorf("transport: mark to worker %d: %w", i, err)
-		}
-		if err := b.Flush(); err != nil {
-			return fmt.Errorf("transport: mark to worker %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// SourceID returns the ID this source stamps on its watermark marks.
-func (s *Source) SourceID() uint32 { return s.id }
-
-// Sent returns the number of data frames sent.
-func (s *Source) Sent() int64 { return s.sent }
-
-// LocalLoads returns this source's local load estimate (nil for KG/SG).
-func (s *Source) LocalLoads() []int64 {
-	if s.view == nil {
-		return nil
-	}
-	return s.view.Snapshot()
-}
-
-// Flush pushes buffered frames to the network.
-func (s *Source) Flush() error {
-	for i, b := range s.bufs {
-		if err := b.Flush(); err != nil {
-			return fmt.Errorf("transport: flush worker %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// QueryWorker sends a point query to worker w over this source's
-// connection and waits for the reply. The source's buffered frames to
-// that worker are flushed first, so — frames being processed in
-// connection order — the reply reflects everything this source sent
-// before the query.
-func (s *Source) QueryWorker(w int, q wire.Query) (wire.Reply, error) {
-	if w < 0 || w >= len(s.conns) {
-		return wire.Reply{}, fmt.Errorf("transport: worker %d out of range", w)
-	}
-	s.scratch = wire.AppendQuery(s.scratch[:0], q)
-	if _, err := s.bufs[w].Write(s.scratch); err != nil {
-		return wire.Reply{}, err
-	}
-	if err := s.bufs[w].Flush(); err != nil {
-		return wire.Reply{}, err
-	}
-	if err := s.conns[w].SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		return wire.Reply{}, err
-	}
-	defer s.conns[w].SetReadDeadline(time.Time{})
-	kind, payload, err := wire.ReadFrame(s.rds[w], nil)
-	if err != nil {
-		return wire.Reply{}, fmt.Errorf("transport: query worker %d: %w", w, err)
-	}
-	if kind != wire.KindReply {
-		return wire.Reply{}, fmt.Errorf("transport: worker %d answered with %v", w, kind)
-	}
-	return wire.DecodeReply(payload)
-}
-
-// Close flushes and closes all connections, checkpointing the hot-key
-// sketch first when a SketchPath was configured.
-func (s *Source) Close() error {
-	var first error
-	if s.sketchPath != "" {
-		if err := s.saveSketch(); err != nil {
-			first = err
-		}
-	}
-	for _, b := range s.bufs {
-		if err := b.Flush(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, c := range s.conns {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Candidates returns the key's candidate workers under this source's
-// router (all workers for SG, one for KG, the d hash choices for PKG,
-// and the class-widened set for D-Choices/W-Choices). For the
-// frequency-aware modes the set reflects the key's *current* class: a
-// key that cooled down since it was last routed may hold stale partial
-// counts on workers outside the returned set, so exact point queries
-// across a class change must widen to the key's historical maximum (or
-// simply all workers).
-func (s *Source) Candidates(key uint64) []int {
-	return route.ProbeSet(s.part, key)
-}
-
-// SketchSummary snapshots this source's hot-key sketch; ok is false for
-// modes that keep none.
-func (s *Source) SketchSummary() (sketch.Summary, bool) {
-	ha, ok := s.part.(route.HotAware)
-	if !ok {
-		return sketch.Summary{}, false
-	}
-	return ha.Classifier().Snapshot(), true
-}
-
-// saveSketch wire-encodes the sketch snapshot and writes it atomically.
-func (s *Source) saveSketch() error {
-	sum, ok := s.SketchSummary()
-	if !ok {
-		return nil
-	}
-	ws := summaryToWire(sum)
-	buf := wire.AppendSketch(nil, &ws)
-	tmp := s.sketchPath + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("transport: checkpoint sketch: %w", err)
-	}
-	if err := os.Rename(tmp, s.sketchPath); err != nil {
-		return fmt.Errorf("transport: checkpoint sketch: %w", err)
-	}
-	return nil
-}
-
-// restoreSketch re-warms the classifier from a checkpoint file, if one
-// exists. A missing file is not an error (first run); a corrupt one is.
-func (s *Source) restoreSketch(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("transport: restore sketch: %w", err)
-	}
-	kind, payload, err := wire.ReadFrame(bytes.NewReader(raw), nil)
-	if err != nil {
-		return fmt.Errorf("transport: restore sketch %s: %w", path, err)
-	}
-	if kind != wire.KindSketch {
-		return fmt.Errorf("transport: restore sketch %s: unexpected %v frame", path, kind)
-	}
-	ws, err := wire.DecodeSketch(payload)
-	if err != nil {
-		return fmt.Errorf("transport: restore sketch %s: %w", path, err)
-	}
-	ha := s.part.(route.HotAware) // checked at dial
-	if err := ha.Classifier().Restore(wireToSummary(ws)); err != nil {
-		return fmt.Errorf("transport: restore sketch %s: %w", path, err)
-	}
-	return nil
-}
-
-// summaryToWire converts a sketch summary to its wire form.
-func summaryToWire(sum sketch.Summary) wire.Sketch {
-	ws := wire.Sketch{K: sum.K, N: sum.N, Items: make([]wire.SketchItem, len(sum.Items))}
-	for i, it := range sum.Items {
-		ws.Items[i] = wire.SketchItem{Item: it.Item, Count: it.Count, Err: it.Err}
-	}
-	return ws
-}
-
-// wireToSummary converts a wire sketch back to a sketch summary.
-func wireToSummary(ws wire.Sketch) sketch.Summary {
-	sum := sketch.Summary{K: ws.K, N: ws.N, Items: make([]sketch.Counted, len(ws.Items))}
-	for i, it := range ws.Items {
-		sum.Items[i] = sketch.Counted{Item: it.Item, Count: it.Count, Err: it.Err}
-	}
-	return sum
 }
 
 // Query answers a distributed point query for key against the given

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pkgstream/internal/edge"
 	"pkgstream/internal/rng"
 	"pkgstream/internal/route"
 	"pkgstream/internal/wire"
@@ -48,13 +49,36 @@ func waitTotal(t *testing.T, ws []*Worker, want int64) {
 	}
 }
 
-func TestEndToEndCountsOverTCP(t *testing.T) {
-	workers, addrs := startWorkers(t, 5)
-	src, err := DialSource(addrs, ModePKG, 42, 0)
+// dial connects a routed sender — the edge.Wire every hop uses — to
+// the workers, closing it when the test ends.
+func dial(t *testing.T, addrs []string, o edge.WireOptions) *edge.Wire {
+	t.Helper()
+	src, err := edge.DialWire(addrs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
+	t.Cleanup(func() { _ = src.Close() })
+	return src
+}
+
+// send routes one bare key, the classic fire-and-forget data path.
+func send(t *testing.T, src *edge.Wire, key uint64) {
+	t.Helper()
+	if err := src.SendTuple(&wire.Tuple{KeyHash: key}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func flush(t *testing.T, src *edge.Wire) {
+	t.Helper()
+	if err := src.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestEndToEndCountsOverTCP(t *testing.T) {
+	workers, addrs := startWorkers(t, 5)
+	src := dial(t, addrs, edge.WireOptions{Mode: route.StrategyPKG, Seed: 42})
 
 	z := rng.NewZipf(rng.New(1), rng.SolveZipfExponent(2000, 0.09), 2000)
 	truth := map[uint64]int64{}
@@ -62,13 +86,9 @@ func TestEndToEndCountsOverTCP(t *testing.T) {
 	for i := 0; i < n; i++ {
 		k := z.Next()
 		truth[k]++
-		if err := src.Send(k); err != nil {
-			t.Fatal(err)
-		}
+		send(t, src, k)
 	}
-	if err := src.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	flush(t, src)
 	waitTotal(t, workers, n)
 
 	// Every key's 2-probe distributed query equals its true count.
@@ -101,28 +121,20 @@ func TestPKGBalancesOverTCPWhereKGDoesNot(t *testing.T) {
 		}
 		return float64(max) - float64(sum)/float64(len(ws))
 	}
-	run := func(mode Mode) float64 {
+	run := func(mode route.Strategy) float64 {
 		workers, addrs := startWorkers(t, 5)
-		src, err := DialSource(addrs, mode, 7, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src.Close()
+		src := dial(t, addrs, edge.WireOptions{Mode: mode, ModeSet: true, Seed: 7})
 		z := rng.NewZipf(rng.New(3), rng.SolveZipfExponent(3000, 0.12), 3000)
 		const n = 40_000
 		for i := 0; i < n; i++ {
-			if err := src.Send(z.Next()); err != nil {
-				t.Fatal(err)
-			}
+			send(t, src, z.Next())
 		}
-		if err := src.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		flush(t, src)
 		waitTotal(t, workers, n)
 		return imbalance(workers)
 	}
-	pkg := run(ModePKG)
-	kg := run(ModeKG)
+	pkg := run(route.StrategyPKG)
+	kg := run(route.StrategyKG)
 	if pkg*5 > kg {
 		t.Fatalf("PKG imbalance %v not well below KG %v over TCP", pkg, kg)
 	}
@@ -138,7 +150,7 @@ func TestMultipleIndependentSources(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			src, err := DialSource(addrs, ModePKG, 99, id)
+			src, err := edge.DialWire(addrs, edge.WireOptions{Mode: route.StrategyPKG, Seed: 99, Start: id})
 			if err != nil {
 				t.Error(err)
 				return
@@ -146,7 +158,7 @@ func TestMultipleIndependentSources(t *testing.T) {
 			defer src.Close()
 			z := rng.NewZipf(rng.New(uint64(id)+10), rng.SolveZipfExponent(1000, 0.1), 1000)
 			for i := 0; i < perSource; i++ {
-				if err := src.Send(z.Next()); err != nil {
+				if err := src.SendTuple(&wire.Tuple{KeyHash: z.Next()}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -178,19 +190,11 @@ func TestMultipleIndependentSources(t *testing.T) {
 
 func TestShuffleModeRoundRobin(t *testing.T) {
 	workers, addrs := startWorkers(t, 3)
-	src, err := DialSource(addrs, ModeSG, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	src := dial(t, addrs, edge.WireOptions{Mode: route.StrategySG, Seed: 1})
 	for i := 0; i < 3000; i++ {
-		if err := src.Send(uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+		send(t, src, uint64(i))
 	}
-	if err := src.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	flush(t, src)
 	waitTotal(t, workers, 3000)
 	for _, w := range workers {
 		if w.Processed() != 1000 {
@@ -217,14 +221,14 @@ func TestQueryUnknownKeyZero(t *testing.T) {
 }
 
 func TestDialErrors(t *testing.T) {
-	if _, err := DialSource(nil, ModePKG, 1, 0); err == nil {
+	if _, err := edge.DialWire(nil, edge.WireOptions{Seed: 1}); err == nil {
 		t.Fatal("empty addrs accepted")
 	}
-	if _, err := DialSource([]string{"127.0.0.1:1"}, ModePKG, 1, 0); err == nil {
+	if _, err := edge.DialWire([]string{"127.0.0.1:1"}, edge.WireOptions{Seed: 1}); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 	_, addrs := startWorkers(t, 1)
-	if _, err := DialSource(addrs, Mode(99), 1, 0); err == nil {
+	if _, err := edge.DialWire(addrs, edge.WireOptions{Mode: route.Strategy(99), Seed: 1}); err == nil {
 		t.Fatal("bad mode accepted")
 	}
 }
@@ -240,30 +244,33 @@ func TestWorkerCloseIdempotentAndUnblocksDial(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DialSource([]string{w.Addr()}, ModePKG, 1, 0); err == nil {
+	if _, err := edge.DialWire([]string{w.Addr()}, edge.WireOptions{Seed: 1}); err == nil {
 		t.Fatal("dial to closed worker succeeded")
 	}
 }
 
 func TestProtocolViolationDropsConnection(t *testing.T) {
 	workers, addrs := startWorkers(t, 1)
-	src, err := DialSource(addrs, ModeKG, 1, 0)
+	src := dial(t, addrs, edge.WireOptions{Mode: route.StrategyKG, ModeSet: true, Seed: 1})
+	send(t, src, 7)
+	flush(t, src)
+	waitTotal(t, workers, 1)
+	// Valid frame, then garbage on a raw connection: the worker keeps the
+	// first and drops the violating connection without crashing.
+	conn, err := net.Dial("tcp", addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Valid frame, then garbage: the worker keeps the first and drops the
-	// connection on the second without crashing.
-	if err := src.Send(7); err != nil {
+	defer conn.Close()
+	if _, err := conn.Write([]byte{'X', 0, 0, 0, 0, 0, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Flush(); err != nil {
-		t.Fatal(err)
+	// The drop reaches the client as EOF or a reset — never a timeout.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err = conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+		t.Fatalf("violating connection not dropped: read err %v", err)
 	}
-	waitTotal(t, workers, 1)
-	if _, err := src.conns[0].Write([]byte{'X', 0, 0, 0, 0, 0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	_ = src.Close()
 	// Worker still answers queries afterwards.
 	got, err := Query(addrs, 7, []int{0})
 	if err != nil {
@@ -364,28 +371,6 @@ func TestWorkerBatchDispatchCoalescesAcks(t *testing.T) {
 	}
 }
 
-func BenchmarkSendOverLoopback(b *testing.B) {
-	w, err := ListenWorker("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	src, err := DialSource([]string{w.Addr()}, ModePKG, 1, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer src.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := src.Send(uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := src.Flush(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 func TestDistributedPointQueryProbesExactlyTheCandidates(t *testing.T) {
 	// §VI.A: a point query under PKG probes only the key's d candidate
 	// workers and sums their partial counts. With the unified routing
@@ -399,24 +384,16 @@ func TestDistributedPointQueryProbesExactlyTheCandidates(t *testing.T) {
 		n        = 20_000
 	)
 	workers, addrs := startWorkers(t, nWorkers)
-	src, err := DialSourceD(addrs, ModePKG, seed, 0, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	src := dial(t, addrs, edge.WireOptions{Mode: route.StrategyPKG, Seed: seed, D: d})
 
 	z := rng.NewZipf(rng.New(3), rng.SolveZipfExponent(500, 0.09), 500)
 	truth := map[uint64]int64{}
 	for i := 0; i < n; i++ {
 		k := z.Next()
 		truth[k]++
-		if err := src.Send(k); err != nil {
-			t.Fatal(err)
-		}
+		send(t, src, k)
 	}
-	if err := src.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	flush(t, src)
 	waitTotal(t, workers, n)
 
 	// An independent party (the query router) recomputes the candidate
@@ -465,17 +442,9 @@ func TestDistributedPointQueryProbesExactlyTheCandidates(t *testing.T) {
 
 func TestDialSourceDValidatesChoices(t *testing.T) {
 	_, addrs := startWorkers(t, 3)
-	// d <= 0 is an error, not a panic, and must not leak connections.
-	if _, err := DialSourceD(addrs, ModePKG, 1, 0, 0); err == nil {
-		t.Fatal("DialSourceD with d=0 did not error")
-	}
 	// d > W clamps to W so candidate sets stay duplicate-free and point
 	// queries never sum one worker's partial count twice.
-	src, err := DialSourceD(addrs, ModePKG, 1, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	src := dial(t, addrs, edge.WireOptions{Mode: route.StrategyPKG, Seed: 1, D: 10})
 	for k := uint64(0); k < 50; k++ {
 		cands := src.Candidates(k)
 		if len(cands) != len(addrs) {

@@ -33,8 +33,9 @@ import (
 //     PartialBolt on the remote side: tuples accumulate per (key,
 //     window), flushes follow the plan's aggregation period (tuple
 //     count, or Tick from a wall-clock driver), and flushed partials
-//     forward — key-grouped, with bounded-backoff retry — to the final
-//     nodes, marks riding behind the data they cover.
+//     forward to the final nodes over a second edge.Wire — key-grouped,
+//     under the same credit window and bounded-backoff redial — marks
+//     riding behind the data they cover.
 
 // PartialHandlerOptions configures a hosted partial stage.
 type PartialHandlerOptions struct {
@@ -82,8 +83,8 @@ func (p *Plan) NewPartialHandler(o PartialHandlerOptions) (*PartialHandler, erro
 		sources: p.spec.Sources,
 		finals:  map[uint32]bool{},
 		snd: partialSender{
-			comp: fmt.Sprintf("remote-partial[%d]", o.ID), addrs: o.FinalAddrs, codec: codec,
-			opts: transport.SourceOptions{Mode: transport.ModeKG, Seed: o.Seed},
+			comp: fmt.Sprintf("remote-partial[%d]", o.ID), addrs: o.FinalAddrs,
+			seed: o.Seed, codec: codec,
 		},
 	}
 	h.bolt.Prepare(&engine.Context{
@@ -100,7 +101,8 @@ func (p *Plan) NewPartialHandler(o PartialHandlerOptions) (*PartialHandler, erro
 // PartialBolt; marks relay the engine sources' watermarks into it; and
 // every flush the bolt makes — tuple-count, Tick-driven, or the final
 // cleanup once all sources are done — forwards its partials and
-// watermark to the final nodes through a retrying partialSender.
+// watermark to the final nodes through a partialSender (an edge.Wire:
+// a slow final node stalls this handler on credit).
 //
 // The transport worker serializes handler calls, and the handler's own
 // mutex covers the accessors, so a PartialHandler is safe to inspect
@@ -250,7 +252,7 @@ func (h *PartialHandler) HandleQuery(q wire.Query) wire.Reply {
 		return wire.Reply{
 			Op: q.Op, Done: h.done, Count: h.processed,
 			Lat:       wireHist(h.bolt.inst.hist.Snapshot()),
-			Telemetry: telemetry(h.bolt.WindowStats(), h.snd.EdgeStats(), metrics.HistSnapshot{}),
+			Telemetry: telemetry(h.bolt.WindowStats(), h.snd.EdgeStats(), h.snd.CreditWait()),
 		}
 	case wire.OpTrace:
 		return wire.Reply{
@@ -304,12 +306,10 @@ func (h *PartialHandler) LatencyStats() metrics.HistSnapshot {
 	return h.bolt.inst.hist.Snapshot()
 }
 
-// EdgeStats returns the partial→final forwarding counters.
-func (h *PartialHandler) EdgeStats() engine.EdgeStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.snd.EdgeStats()
-}
+// EdgeStats returns the partial→final edge's counters. It does not take
+// the handler lock, so it stays readable while a credit stall toward a
+// slow final node holds the handler.
+func (h *PartialHandler) EdgeStats() engine.EdgeStats { return h.snd.EdgeStats() }
 
 // WaitDone blocks until Done or the timeout expires.
 func (h *PartialHandler) WaitDone(timeout time.Duration) error {

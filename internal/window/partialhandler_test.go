@@ -36,20 +36,23 @@ func buildPartialNodes(t *testing.T, nodes int, faddrs []string) ([]*PartialHand
 	return handlers, addrs
 }
 
-// runRemotePartial runs the full three-stage shape with BOTH windowed
-// stages out of process: engine spouts → wire tuples → hosted partials
-// → wire partials → hosted finals, all across TCP loopback.
-func runRemotePartial(t *testing.T, partialNodes, finalNodes int) map[string]int64 {
+// startFinals spins up n hosted final stages fed by `sources` partial
+// nodes; node 0's partial dispatch is slowed by slowFirst (0: none).
+func startFinals(t *testing.T, n, sources int, slowFirst time.Duration) ([]*FinalHandler, []string) {
 	t.Helper()
-	finals := make([]*FinalHandler, finalNodes)
-	faddrs := make([]string, finalNodes)
+	finals := make([]*FinalHandler, n)
+	faddrs := make([]string, n)
 	for i := range finals {
 		plan := MustPlan(Count{}, remoteSpec())
-		h, err := plan.NewFinalHandler(partialNodes)
+		h, err := plan.NewFinalHandler(sources)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := transport.ListenHandler("127.0.0.1:0", h)
+		var hh transport.Handler = h
+		if i == 0 {
+			hh = transport.Slow(h, slowFirst)
+		}
+		w, err := transport.ListenHandler("127.0.0.1:0", hh)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,12 +60,19 @@ func runRemotePartial(t *testing.T, partialNodes, finalNodes int) map[string]int
 		finals[i] = h
 		faddrs[i] = w.Addr()
 	}
-	partials, paddrs := buildPartialNodes(t, partialNodes, faddrs)
+	return finals, faddrs
+}
 
+// runRemotePartial runs the full three-stage shape with BOTH windowed
+// stages out of process: engine spouts (rtSpouts instances of
+// wordSpout{n: perSpout, vocab: vocab}) → wire tuples → hosted
+// partials → wire partials → hosted finals, all across TCP loopback.
+func runRemotePartial(t *testing.T, perSpout, vocab int, partials []*PartialHandler, paddrs []string, finals []*FinalHandler) map[string]int64 {
+	t.Helper()
 	plan := MustPlan(Count{}, remoteSpec())
 	b := engine.NewBuilder("rt-remote-partial", 42)
 	b.AddSpout("words", func() engine.Spout {
-		return &wordSpout{n: rtPerSpout, marks: 500}
+		return &wordSpout{n: perSpout, marks: 500, vocab: vocab}
 	}, rtSpouts)
 	b.WindowedAggregate("wc", plan, rtPartials, engine.RemotePartial(paddrs...)).
 		Input("words", SourceAware(engine.Partial()))
@@ -88,7 +98,7 @@ func runRemotePartial(t *testing.T, partialNodes, finalNodes int) map[string]int
 		}
 		absorbed += h.Processed()
 	}
-	if want := int64(rtSpouts * rtPerSpout); absorbed != want {
+	if want := int64(rtSpouts * perSpout); absorbed != want {
 		t.Fatalf("partial nodes absorbed %d tuples, want %d — the flow-controlled edge dropped or duplicated", absorbed, want)
 	}
 
@@ -113,11 +123,71 @@ func runRemotePartial(t *testing.T, partialNodes, finalNodes int) map[string]int
 // both match the independently replayed truth.
 func TestRemotePartialMatchesInProcess(t *testing.T) {
 	want := expectedCounts(rtSpouts, rtPerSpout, rtSize, 0)
-	local := runInProcess(t)
+	local := runInProcess(t, rtSpout)
 	diffCounts(t, "in-process", local, want)
-	remote := runRemotePartial(t, 2, 2)
+	finals, faddrs := startFinals(t, 2, 2, 0)
+	partials, paddrs := buildPartialNodes(t, 2, faddrs)
+	remote := runRemotePartial(t, rtPerSpout, 0, partials, paddrs, finals)
 	diffCounts(t, "remote-partial vs truth", remote, want)
 	diffCounts(t, "remote-partial vs in-process", remote, local)
+}
+
+// TestFinalHopCreditStallsPartialNode: the partial → final hop is a
+// credit-flow-controlled edge. A final node slowed by transport.Slow
+// exhausts its window, so the partial nodes' senders stall on credit
+// (never more than Window partials in flight), and the counts still
+// match the in-process engine exactly.
+func TestFinalHopCreditStallsPartialNode(t *testing.T) {
+	// A wide vocabulary makes every flush ship hundreds of partials per
+	// final node (about 2000 to the slow one over the run), so the slow
+	// node falls well over its 1024-partial window behind.
+	const perSpout, vocab = 2500, 5000
+	local := runInProcess(t, func() engine.Spout {
+		return &wordSpout{n: perSpout, marks: 500, vocab: vocab}
+	})
+	finals, faddrs := startFinals(t, 2, 1, 50*time.Microsecond)
+	partials, paddrs := buildPartialNodes(t, 1, faddrs)
+
+	// Sample the edges while the pipeline runs: in-flight partials must
+	// never exceed the credit window.
+	stop := make(chan struct{})
+	sampled := make(chan error, 1)
+	go func() {
+		var maxInFlight int64
+		for {
+			for i, h := range partials {
+				if st := h.EdgeStats(); st.InFlight > st.Window {
+					sampled <- fmt.Errorf("partial node %d: %d partials in flight over a %d window", i, st.InFlight, st.Window)
+					return
+				} else if st.InFlight > maxInFlight {
+					maxInFlight = st.InFlight
+				}
+			}
+			select {
+			case <-stop:
+				t.Logf("max partials in flight: %d", maxInFlight)
+				sampled <- nil
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	remote := runRemotePartial(t, perSpout, vocab, partials, paddrs, finals)
+	close(stop)
+	if err := <-sampled; err != nil {
+		t.Fatal(err)
+	}
+	diffCounts(t, "slow final vs in-process", remote, local)
+	for i, h := range partials {
+		st := h.EdgeStats()
+		t.Logf("partial node %d: %+v", i, st)
+		if st.Stalls == 0 {
+			t.Fatalf("partial node %d never stalled on the slow final node: %+v", i, st)
+		}
+		if st.Window == 0 || st.InFlight > st.Window {
+			t.Fatalf("partial node %d: in flight %d, window %d", i, st.InFlight, st.Window)
+		}
+	}
 }
 
 // gatedTuples wraps a handler, blocking every tuple on the gate — the

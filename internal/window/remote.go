@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"pkgstream/internal/edge"
 	"pkgstream/internal/engine"
 	"pkgstream/internal/metrics"
+	"pkgstream/internal/route"
 	"pkgstream/internal/trace"
 	"pkgstream/internal/transport"
 	"pkgstream/internal/wire"
@@ -24,7 +25,9 @@ import (
 //     stage: it encodes every flushed partial as a wire.Partial and
 //     key-groups it over the remote node addresses, and relays every
 //     partial instance's watermark as a wire.Mark (one remote "source"
-//     per partial instance);
+//     per partial instance). The hop is an edge.Wire, the same sender
+//     the spout → partial hop uses: credit flow control, redial with
+//     bounded backoff, and edge telemetry come with it;
 //   - FinalHandler, the transport.Handler that hosts an ordinary
 //     FinalBolt on the remote side: partials merge, windows close once
 //     the minimum watermark across all live sources passes their end,
@@ -79,17 +82,17 @@ func (p *Plan) NewRemoteFinal(addrs []string, seed uint64) (func() engine.Bolt, 
 			plan: p,
 			inst: in,
 			snd: partialSender{
-				comp: "remote-final", addrs: addrs, codec: codec,
-				opts: transport.SourceOptions{Mode: transport.ModeKG, Seed: seed},
+				comp: "remote-final", addrs: addrs, seed: seed, codec: codec,
 			},
 		}
 	}, nil
 }
 
 // partialSender ships flushed partials and watermark marks to the final
-// nodes over transport, key-grouped so all partials of a key meet at
-// one node. Send failures — a final node restarting, a dropped
-// connection — are retried with bounded backoff over a fresh dial; only
+// nodes over an edge.Wire dialed with key grouping, so all partials of
+// a key meet at one node. The edge supplies everything but the partial
+// encode: credit flow control (a slow final node stalls this sender),
+// redial with bounded backoff, and the telemetry pkgtop reads. Only
 // exhausted retries surface, as a typed *engine.EdgeError, so the
 // topology fails cleanly and diagnosably instead of panicking on the
 // first broken pipe. Both forwarding shapes share it: the in-engine
@@ -97,73 +100,41 @@ func (p *Plan) NewRemoteFinal(addrs []string, seed uint64) (func() engine.Bolt, 
 type partialSender struct {
 	comp  string
 	addrs []string
-	opts  transport.SourceOptions
+	seed  uint64
 	codec StateCodec // nil on the Combiner fast path
 
-	src     *transport.Source
+	mu      sync.Mutex // guards e for stats readers vs dial
+	e       *edge.Wire
 	scratch wire.Partial
-
-	frames   atomic.Int64
-	marks    atomic.Int64
-	retries  atomic.Int64
-	failures atomic.Int64
 }
 
-// sendAttempts bounds delivery attempts per frame: the first send plus
-// three redial-and-resend rounds with doubling backoff (~175ms total),
-// enough to ride out a node restart without masking a dead peer for
-// long.
-const sendAttempts = 4
-
-// dial (re)connects to the final nodes.
+// dial connects the edge to the final nodes. KG under the same seed
+// gives the same key→node hash as every other key-grouped hop.
 func (s *partialSender) dial() error {
-	src, err := transport.DialSourceOpts(s.addrs, s.opts)
+	e, err := edge.DialWire(s.addrs, edge.WireOptions{
+		Mode: route.StrategyKG, ModeSet: true, Seed: s.seed,
+	})
 	if err != nil {
 		return err
 	}
-	s.src = src
+	s.mu.Lock()
+	s.e = e
+	s.mu.Unlock()
 	return nil
 }
 
-// withRetry runs op, redialing with bounded backoff on failure. During
-// a reconnect, frames buffered on the dead connection may or may not
-// have been absorbed — delivery across a node restart is at-least-once
-// for the frame being retried and best-effort for the buffered tail.
-func (s *partialSender) withRetry(op func() error) error {
-	err := op()
-	if err == nil {
-		return nil
-	}
-	backoff := 25 * time.Millisecond
-	for attempt := 1; attempt < sendAttempts; attempt++ {
-		s.retries.Add(1)
-		trace.Event("redial "+strings.Join(s.addrs, ","), 0, int64(attempt))
-		time.Sleep(backoff)
-		backoff *= 2
-		if s.src != nil {
-			s.src.Close()
-			s.src = nil
-		}
-		if err = s.dial(); err != nil {
-			continue
-		}
-		if err = op(); err == nil {
-			return nil
-		}
-	}
-	s.failures.Add(1)
-	trace.Event("backoff-exhausted "+strings.Join(s.addrs, ","), 0, sendAttempts)
+func (s *partialSender) edgeErr(err error) error {
 	return &engine.EdgeError{
 		Component: s.comp,
 		Addr:      strings.Join(s.addrs, ","),
-		Attempts:  sendAttempts,
+		Attempts:  edge.SendAttempts,
 		Err:       err,
 	}
 }
 
 // sendPartial encodes and ships one flushed (key, window) partial.
 // traceID, when nonzero, rides the wire so the final node continues
-// the trace; the ship itself is recorded as a wire-send span.
+// the trace; the edge records the ship as a wire-send span.
 func (s *partialSender) sendPartial(key string, hash uint64, ps partialState, traceID uint64) error {
 	p := &s.scratch
 	p.KeyHash = hash
@@ -177,57 +148,46 @@ func (s *partialSender) sendPartial(key string, hash uint64, ps partialState, tr
 		p.Count = 0
 		p.Raw = s.codec.EncodeState(ps.state)
 	}
-	var start int64
-	if traceID != 0 {
-		start = trace.Now()
+	if err := s.e.SendPartial(p); err != nil {
+		return s.edgeErr(err)
 	}
-	err := s.withRetry(func() error {
-		if s.src == nil {
-			return fmt.Errorf("window: %s: not connected", s.comp)
-		}
-		return s.src.SendPartial(p)
-	})
-	if err == nil {
-		s.frames.Add(1)
-		if traceID != 0 {
-			trace.Add(traceID, trace.HopWireSend, start, trace.Now()-start, 1, 0, s.comp)
-		}
-	}
-	return err
+	return nil
 }
 
-// sendMark relays one watermark under the given source ID.
+// sendMark relays one watermark under the given source ID, behind
+// every partial it covers.
 func (s *partialSender) sendMark(from uint32, wm int64) error {
-	err := s.withRetry(func() error {
-		if s.src == nil {
-			return fmt.Errorf("window: %s: not connected", s.comp)
-		}
-		return s.src.SendMarkFrom(from, wm)
-	})
-	if err == nil {
-		s.marks.Add(1)
+	if err := s.e.Watermark(from, wm); err != nil {
+		return s.edgeErr(err)
 	}
-	return err
+	return nil
 }
 
-// close flushes and releases the connections.
-func (s *partialSender) close() error {
-	if s.src == nil {
-		return nil
-	}
-	err := s.src.Close()
-	s.src = nil
-	return err
+// close flushes and releases the connections; the edge's counters stay
+// readable.
+func (s *partialSender) close() error { return s.e.Close() }
+
+// current returns the edge, nil before dial.
+func (s *partialSender) current() *edge.Wire {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.e
 }
 
-// EdgeStats snapshots the sender's flow counters in engine form.
+// EdgeStats snapshots the edge's counters in engine form.
 func (s *partialSender) EdgeStats() engine.EdgeStats {
-	return engine.EdgeStats{
-		Frames:   s.frames.Load(),
-		Marks:    s.marks.Load(),
-		Retries:  s.retries.Load(),
-		Failures: s.failures.Load(),
+	if e := s.current(); e != nil {
+		return e.Stats()
 	}
+	return engine.EdgeStats{}
+}
+
+// CreditWait snapshots the edge's credit-stall histogram.
+func (s *partialSender) CreditWait() metrics.HistSnapshot {
+	if e := s.current(); e != nil {
+		return e.CreditWait()
+	}
+	return metrics.HistSnapshot{}
 }
 
 // remoteFinal forwards the partial stage's output over TCP instead of
@@ -241,17 +201,21 @@ type remoteFinal struct {
 }
 
 // Prepare implements engine.Bolt: it dials the remote nodes. A dial
-// failure panics, which the engine runtime converts into a topology
-// error (factories and Prepare run inside instance goroutines).
+// failure panics with a typed *engine.EdgeError, which the engine
+// runtime converts into a topology error (factories and Prepare run
+// inside instance goroutines).
 func (b *remoteFinal) Prepare(*engine.Context) {
 	if err := b.snd.dial(); err != nil {
-		panic(fmt.Sprintf("window: remote final: %v", err))
+		panic(&engine.EdgeError{
+			Component: b.snd.comp, Addr: strings.Join(b.snd.addrs, ","),
+			Attempts: 1, Err: err,
+		})
 	}
 }
 
 // Execute implements engine.Bolt: partials are encoded and key-grouped
 // to their node, marks are relayed per partial instance. Send failures
-// retry with bounded backoff inside the sender; an exhausted retry
+// redial with bounded backoff inside the edge; an exhausted retry
 // panics with the typed *engine.EdgeError, which the runtime surfaces
 // through Run — the topology fails cleanly, naming the dead nodes.
 func (b *remoteFinal) Execute(t engine.Tuple, out engine.Emitter) {
@@ -290,7 +254,7 @@ func (b *remoteFinal) Cleanup(engine.Emitter) {
 func (b *remoteFinal) WindowStats() engine.WindowStats { return b.inst.snapshot() }
 
 // EdgeStats implements engine.EdgeStatsSource: the forwarder's frame,
-// retry and failure counters surface through Stats.Edges.
+// stall, retry and failure counters surface through Stats.Edges.
 func (b *remoteFinal) EdgeStats() engine.EdgeStats { return b.snd.EdgeStats() }
 
 // FinalHandler hosts a windowed final stage behind a transport.Worker:

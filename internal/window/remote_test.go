@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"pkgstream/internal/edge"
 	"pkgstream/internal/engine"
+	"pkgstream/internal/route"
 	"pkgstream/internal/transport"
 	"pkgstream/internal/wire"
 )
@@ -21,6 +23,7 @@ type wordSpout struct {
 	n     int
 	marks int
 	skew  time.Duration
+	vocab int // distinct words besides "hot" (0: 50)
 
 	i   int
 	id  int
@@ -39,7 +42,11 @@ func (s *wordSpout) Next(out engine.Emitter) bool {
 		return false
 	}
 	s.i++
-	word := fmt.Sprintf("w%d", (s.i*s.i+s.id*7919)%50)
+	vocab := s.vocab
+	if vocab == 0 {
+		vocab = 50
+	}
+	word := fmt.Sprintf("w%d", (s.i*s.i+s.id*7919)%vocab)
 	if s.i%13 == 0 {
 		word = "hot" // a recurring hot word crossing partials
 	}
@@ -104,17 +111,19 @@ func remoteSpec() Spec {
 	return Spec{Size: rtSize, EveryTuples: 1500, Sources: rtSpouts}
 }
 
-// runInProcess runs the windowed wordcount entirely in one engine and
-// returns the per-(word, window) counts.
-func runInProcess(t *testing.T) map[string]int64 {
+// rtSpout is the round-trip tests' default word stream.
+func rtSpout() engine.Spout { return &wordSpout{n: rtPerSpout, marks: 500} }
+
+// runInProcess runs the windowed wordcount over rtSpouts instances of
+// spout entirely in one engine and returns the per-(word, window)
+// counts.
+func runInProcess(t *testing.T, spout func() engine.Spout) map[string]int64 {
 	t.Helper()
 	var mu sync.Mutex
 	got := map[string]int64{}
 	plan := MustPlan(Count{}, remoteSpec())
 	b := engine.NewBuilder("rt-local", 42)
-	b.AddSpout("words", func() engine.Spout {
-		return &wordSpout{n: rtPerSpout, marks: 500}
-	}, rtSpouts)
+	b.AddSpout("words", spout, rtSpouts)
 	b.WindowedAggregate("wc", plan, rtPartials).Input("words", SourceAware(engine.Partial()))
 	b.AddBolt("sink", func() engine.Bolt {
 		return &resultSink{mu: &mu, got: got}
@@ -213,7 +222,7 @@ func diffCounts(t *testing.T, label string, got, want map[string]int64) {
 // remote nodes — and both match the independently replayed truth.
 func TestRemoteFinalMatchesInProcess(t *testing.T) {
 	want := expectedCounts(rtSpouts, rtPerSpout, rtSize, 0)
-	local := runInProcess(t)
+	local := runInProcess(t, rtSpout)
 	diffCounts(t, "in-process", local, want)
 	remote := runRemote(t, 2)
 	diffCounts(t, "remote vs truth", remote, want)
@@ -265,7 +274,9 @@ func TestFinalHandlerAnswersPointQueries(t *testing.T) {
 	}
 	defer w.Close()
 
-	src, err := transport.DialSource([]string{w.Addr()}, transport.ModeKG, 1, 0)
+	src, err := edge.DialWire([]string{w.Addr()}, edge.WireOptions{
+		Mode: route.StrategyKG, ModeSet: true, Seed: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,23 +287,26 @@ func TestFinalHandlerAnswersPointQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := src.QueryWorker(0, wire.Query{Op: wire.OpResults})
+	if err := src.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := transport.QueryAddr(w.Addr(), wire.Query{Op: wire.OpResults})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Done || len(rep.Results) != 0 {
 		t.Fatalf("results before final mark: %+v", rep)
 	}
-	if err := src.SendMark(int64(1) << 62); err != nil {
+	if err := src.Watermark(0, int64(1)<<62); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SendMark(9223372036854775807); err != nil { // final
+	if err := src.Watermark(0, 9223372036854775807); err != nil { // final
 		t.Fatal(err)
 	}
 	if err := h.WaitDone(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = src.QueryWorker(0, wire.Query{Op: wire.OpCount, Key: key.RouteKey()})
+	rep, err = transport.QueryAddr(w.Addr(), wire.Query{Op: wire.OpCount, Key: key.RouteKey()})
 	if err != nil {
 		t.Fatal(err)
 	}

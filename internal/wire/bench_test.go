@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkWireTuple measures one encode+decode round trip of a tuple
-// frame — the hot path of the TCP transport. The PR-4 acceptance floor
-// is 5M tuples/s; the hand-rolled codec runs well above it because the
-// keyed-by-hash path (what transport.Source.Send emits) touches no
+// frame — the hot path of the TCP transport. The acceptance floor is
+// 5M tuples/s; the hand-rolled codec runs well above it because the
+// keyed-by-hash path (a bare-key edge.Wire.SendTuple) touches no
 // allocator at all: encode appends into a reused buffer and decode
 // reuses the Values slice.
 func BenchmarkWireTuple(b *testing.B) {

@@ -3,7 +3,9 @@ package pkgstream
 import (
 	"time"
 
+	"pkgstream/internal/edge"
 	"pkgstream/internal/rebalance"
+	"pkgstream/internal/route"
 	"pkgstream/internal/transport"
 	"pkgstream/internal/wire"
 )
@@ -14,32 +16,39 @@ import (
 // NetWorker is a TCP server holding partial counts for routed keys.
 type NetWorker = transport.Worker
 
-// NetSource is a TCP client routing keys to workers with a partitioner
-// driven by its own local load estimate.
-type NetSource = transport.Source
+// NetSource is the routed, credit-flow-controlled TCP sender
+// (internal/edge.Wire): SendTuple routes one tuple with a partitioner
+// driven by the source's own local load estimate, SendPartial ships a
+// flushed partial to a final host, Watermark(source, wm) broadcasts an
+// event-time promise behind the data it covers, and a dropped
+// connection is redialed with bounded backoff. Point queries go over
+// NetQuery with the source's Candidates.
+type NetSource = edge.Wire
 
 // NetMode selects the network source's partitioning strategy.
-type NetMode = transport.Mode
+type NetMode = route.Strategy
 
 // Network partitioning modes.
 const (
 	// NetPKG routes with partial key grouping on a local load estimate.
-	NetPKG = transport.ModePKG
+	NetPKG = route.StrategyPKG
 	// NetKG routes with a single hash.
-	NetKG = transport.ModeKG
+	NetKG = route.StrategyKG
 	// NetSG routes round-robin.
-	NetSG = transport.ModeSG
+	NetSG = route.StrategySG
 	// NetDChoices routes with frequency-aware PKG: the source's own
 	// Space-Saving sketch widens hot keys beyond two workers.
-	NetDChoices = transport.ModeDChoices
+	NetDChoices = route.StrategyDChoices
 	// NetWChoices spreads keys above the hot threshold over all workers.
-	NetWChoices = transport.ModeWChoices
+	NetWChoices = route.StrategyWChoices
 )
 
 // NetSourceOptions is the fully parameterized dial configuration —
-// including SketchPath, which checkpoints the frequency-aware modes'
-// sketch across source restarts (restored on dial, written on Close).
-type NetSourceOptions = transport.SourceOptions
+// including the credit window, batching, and SketchPath, which
+// checkpoints the frequency-aware modes' sketch across source restarts
+// (restored on dial, written on Close). Set ModeSet to dial NetKG,
+// whose value is the zero Mode.
+type NetSourceOptions = edge.WireOptions
 
 // NetHandler is the pluggable processing side of a TCP worker; every
 // decoded wire frame dispatches to it (calls are serialized).
@@ -58,9 +67,9 @@ type NetPartial = wire.Partial
 type NetTuple = wire.Tuple
 
 // DialNetSourceOpts dials a source with full options (sketch
-// checkpointing, explicit source ID, hot-key knobs).
+// checkpointing, credit window, batching, hot-key knobs).
 func DialNetSourceOpts(addrs []string, o NetSourceOptions) (*NetSource, error) {
-	return transport.DialSourceOpts(addrs, o)
+	return edge.DialWire(addrs, o)
 }
 
 // ListenNetHandler starts a TCP worker dispatching to a custom handler
@@ -94,13 +103,14 @@ func ListenNetWorker(addr string) (*NetWorker, error) {
 // seed (their hash functions must agree); start decorrelates shuffle
 // round-robins.
 func DialNetSource(addrs []string, mode NetMode, seed uint64, start int) (*NetSource, error) {
-	return transport.DialSource(addrs, mode, seed, start)
+	return edge.DialWire(addrs, edge.WireOptions{Mode: mode, ModeSet: true, Seed: seed, Start: start})
 }
 
 // DialNetSourceD is DialNetSource generalized to d hash choices for PKG
-// ("Greedy-d"); point queries then probe a key's d candidates.
+// ("Greedy-d"; 0 selects 2, d beyond the worker count clamps to it);
+// point queries then probe a key's d candidates.
 func DialNetSourceD(addrs []string, mode NetMode, seed uint64, start, d int) (*NetSource, error) {
-	return transport.DialSourceD(addrs, mode, seed, start, d)
+	return edge.DialWire(addrs, edge.WireOptions{Mode: mode, ModeSet: true, Seed: seed, Start: start, D: d})
 }
 
 // NetQuery answers a distributed point query: it probes the listed
