@@ -60,3 +60,49 @@ func BenchmarkWindowFlush(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFinalMerge measures the final stage's steady state: with
+// `open` windows open, every round merges one partial per key into
+// each open window, then a watermark advance closes the oldest window
+// and the next round opens a new one (a sliding window advancing one
+// slide per aggregation period). ns/partial covers the merge and the
+// amortized close.
+func BenchmarkFinalMerge(b *testing.B) {
+	const size = 1000 // window length and slide, in event-time ns
+	for _, keys := range []int{1_000, 10_000} {
+		for _, open := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("keys=%d/open=%d", keys, open), func(b *testing.B) {
+				tuples := make([]engine.Tuple, keys)
+				for i := range tuples {
+					tuples[i] = engine.Tuple{Key: fmt.Sprintf("k%d", i)}
+					tuples[i].RouteKey() // arrive hashed, as off a key-grouped edge
+				}
+				fb := MustPlan(Count{}, Spec{Size: size}).NewFinal().(*FinalBolt)
+				fb.Prepare(&engine.Context{Component: "f", Parallelism: 1})
+				one := State(int64(1))
+				round := func(r int) {
+					for j := 0; j < open; j++ {
+						// One boxed partial per window, shared by its keys:
+						// the merge, not the harness, allocates.
+						vals := engine.Values{partialState{start: int64(r-j) * size, state: one}}
+						for _, t := range tuples {
+							t.Values = vals
+							fb.Execute(t, discard{})
+						}
+					}
+					oldest := int64(r-open+1) * size
+					fb.Execute(engine.Tuple{Tick: true, Values: engine.Values{mark{of: 1, wm: oldest + size}}}, discard{})
+				}
+				r := open // window starts stay positive
+				for ; r < 2*open; r++ {
+					round(r) // fill: `open` windows live
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					round(r + i)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys*open), "ns/partial")
+			})
+		}
+	}
+}

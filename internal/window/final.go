@@ -1,9 +1,13 @@
 package window
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"pkgstream/internal/engine"
@@ -16,50 +20,107 @@ import (
 // and emits one Result per pair once the combined watermark (the minimum
 // across all partial instances) passes the window's end. Partials
 // arriving for an already-closed window are dropped and counted as late.
+//
+// Live state is indexed by window: the open windows sit in ascending
+// start order, each with its own (hash, key) accumulator map. A merge
+// finds its window by a short scan from the newest end, then its key. A
+// close pops only the due windows off the front and sorts each one's
+// keys, so it costs O(due slots · log) plus the open windows and never
+// touches a live slot of a window that stays open.
 type FinalBolt struct {
 	plan *Plan
 	inst *instrumentation
 
-	ctx    engine.Context
-	states map[slot]State // general path
-	counts map[slot]int64 // Combiner fast path
+	ctx engine.Context
+	// open holds the open windows in ascending start order — also
+	// ascending end order, since every window has the same Size. The
+	// watermark trails the newest partial by about one aggregation
+	// period, so only a few windows are open at once.
+	open []*openWindow
+	// free holds closed windows whose cleared maps the next windows to
+	// open reuse.
+	free []*openWindow
+	// due and order are the close scratch, reused across closes.
+	due   []dueSlot
+	order []dueRef
 	// strCounts/intCounts are the global-window Combiner fast path,
 	// mirroring PartialBolt: one window per key means the merge is a
-	// plain counter map keyed by the tuple key, with no slot-struct
-	// hashing per merged partial.
+	// plain counter map keyed by the tuple key, with no window lookup
+	// and no (hash, key) pair per merged partial.
 	strCounts map[string]int64
 	intCounts map[uint64]int64
 	wms       map[int]int64 // watermark per partial instance
 	closed    int64         // windows ending ≤ closed have been emitted
-	// minEnd is the earliest end among live slots (MaxInt64 when none),
-	// so the frequent watermark advances that close nothing skip the
-	// full slot scan.
-	minEnd   int64
-	noted    int64 // last combined watermark fed to the lag gauge
-	lastLive int   // last value published to the stats gauge
+	noted     int64         // last combined watermark fed to the lag gauge
+	live      int           // live (key, window) accumulators
+	lastLive  int           // last value published to the stats gauge
 	// traced maps the (key, window) slots a traced partial merged into
 	// to its trace ID, so the window close that emits the slot's Result
 	// can finish the trace. Lazily allocated.
 	traced map[slot]uint64
 }
 
+// openWindow is one open window's live accumulators keyed by (hash,
+// key): raw int64s on the Combiner path, boxed states otherwise.
+// Per-instance aggregations keep a single zero key per window.
+type openWindow struct {
+	start  int64
+	counts map[winKey]int64
+	states map[winKey]State
+}
+
+// winKey identifies a key within one window.
+type winKey struct {
+	hash uint64
+	key  string
+}
+
+// dueSlot is one accumulator of a closing window.
+type dueSlot struct {
+	winKey
+	st State
+}
+
+// dueRef places one dueSlot in the close order. Sorting these 16-byte
+// refs instead of the slots keeps swaps small, and pre — the key's
+// first eight bytes, big-endian and zero-padded — settles most
+// comparisons with one integer compare: pre(a) < pre(b) implies a < b,
+// and only equal prefixes compare the full keys.
+type dueRef struct {
+	pre uint64
+	i   int
+}
+
+// keyPrefix returns a key's dueRef.pre.
+func keyPrefix(key string) uint64 {
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
+}
+
 // Prepare implements engine.Bolt.
 func (b *FinalBolt) Prepare(ctx *engine.Context) {
 	b.ctx = *ctx
-	sp := &b.plan.spec
-	switch {
-	case b.plan.comb != nil && sp.Size <= 0 && !sp.PerInstance:
+	if b.plan.globalCounters() {
 		b.strCounts = map[string]int64{}
 		b.intCounts = map[uint64]int64{}
-	case b.plan.comb != nil:
-		b.counts = map[slot]int64{}
-	default:
-		b.states = map[slot]State{}
 	}
 	b.wms = map[int]int64{}
 	b.closed = math.MinInt64
-	b.minEnd = math.MaxInt64
 	b.noted = math.MinInt64
+}
+
+// globalCounters reports whether the final stage runs the global-window
+// Combiner fast path.
+func (p *Plan) globalCounters() bool {
+	return p.comb != nil && p.spec.Size <= 0 && !p.spec.PerInstance
+}
+
+// mergeHashes reports whether merging a partial for key needs the key's
+// routing hash: per-instance state has no key, and the global-window
+// counters key strings by the string alone.
+func (p *Plan) mergeHashes(key string) bool {
+	return !p.spec.PerInstance && (key == "" || !p.globalCounters())
 }
 
 // Execute implements engine.Bolt: marks advance the watermark, partials
@@ -78,59 +139,105 @@ func (b *FinalBolt) Execute(t engine.Tuple, out engine.Emitter) {
 		panic(fmt.Sprintf("window: final stage received a non-partial tuple (values %v); "+
 			"subscribe downstream bolts to the final stage, not the reverse", t.Values))
 	}
-	sp := &b.plan.spec
+	var n int64
+	if b.plan.comb != nil {
+		n = ps.state.(int64)
+	}
+	var hash uint64
+	if b.plan.mergeHashes(t.Key) {
+		hash = t.RouteKey()
+	}
+	b.merge(t.Key, hash, ps.start, n, ps.state, t.TraceID)
+}
+
+// merge folds one partial of (key, window start) into the live state:
+// n on the Combiner path, st otherwise. hash is the key's routing hash
+// where Plan.mergeHashes asks for it (0 elsewhere); id is the partial's
+// trace (0: untraced). Both the in-process Execute and the remote
+// FinalHandler merge through here.
+func (b *FinalBolt) merge(key string, hash uint64, start, n int64, st State, id uint64) {
 	if b.strCounts != nil {
 		// Global-window Combiner fast path: the single window can only
-		// close at stream end, so there is no late check and no minEnd
-		// bookkeeping — just the counter merge.
+		// close at stream end, so there is no late check and no window
+		// lookup — just the counter merge.
 		b.inst.merged.Add(1)
-		if t.Key != "" {
-			b.strCounts[t.Key] += ps.state.(int64)
-			if t.TraceID != 0 {
-				b.tagTrace(slot{key: t.Key}, t.TraceID)
+		if key != "" {
+			before := len(b.strCounts)
+			b.strCounts[key] += n
+			b.live += len(b.strCounts) - before
+			if id != 0 {
+				b.tagTrace(slot{key: key}, id)
 			}
 		} else {
-			b.intCounts[t.RouteKey()] += ps.state.(int64)
-			if t.TraceID != 0 {
-				b.tagTrace(slot{hash: t.RouteKey()}, t.TraceID)
+			before := len(b.intCounts)
+			b.intCounts[hash] += n
+			b.live += len(b.intCounts) - before
+			if id != 0 {
+				b.tagTrace(slot{hash: hash}, id)
 			}
 		}
-		if t.TraceID != 0 {
-			trace.Add(t.TraceID, trace.HopMerge, trace.Now(), 0, 0, 0, b.ctx.Component)
+		if id != 0 {
+			trace.Add(id, trace.HopMerge, trace.Now(), 0, 0, 0, b.ctx.Component)
 		}
-		b.minEnd = math.MaxInt64
 		b.publishLive()
 		return
 	}
-	end := sp.end(ps.start)
-	if end <= b.closed {
+	sp := &b.plan.spec
+	if sp.end(start) <= b.closed {
 		b.inst.late.Add(1)
 		return
 	}
-	if end < b.minEnd {
-		b.minEnd = end
-	}
-	var sl slot
-	if sp.PerInstance {
-		sl = slot{start: ps.start}
-	} else {
-		sl = slot{hash: t.RouteKey(), key: t.Key, start: ps.start}
+	w := b.window(start)
+	var k winKey
+	if !sp.PerInstance {
+		k = winKey{hash: hash, key: key}
 	}
 	b.inst.merged.Add(1)
-	if b.counts != nil {
-		b.counts[sl] += ps.state.(int64)
-	} else if cur, ok := b.states[sl]; ok {
-		b.states[sl] = b.plan.agg.Merge(cur, ps.state)
+	if w.counts != nil {
+		before := len(w.counts)
+		w.counts[k] += n
+		b.live += len(w.counts) - before
+	} else if cur, ok := w.states[k]; ok {
+		w.states[k] = b.plan.agg.Merge(cur, st)
 	} else {
 		// First partial for the pair: adopt it (the emitting instance
 		// dropped its reference at flush, so no aliasing).
-		b.states[sl] = ps.state
+		w.states[k] = st
+		b.live++
 	}
-	if t.TraceID != 0 {
-		b.tagTrace(sl, t.TraceID)
-		trace.Add(t.TraceID, trace.HopMerge, trace.Now(), 0, sl.start, 0, b.ctx.Component)
+	if id != 0 {
+		b.tagTrace(slot{hash: k.hash, key: k.key, start: start}, id)
+		trace.Add(id, trace.HopMerge, trace.Now(), 0, start, 0, b.ctx.Component)
 	}
 	b.publishLive()
+}
+
+// window returns the open window starting at start, opening it (from
+// the free list when one is there) at its place in start order. The
+// scan runs from the newest end: partials mostly belong to the newest
+// windows.
+func (b *FinalBolt) window(start int64) *openWindow {
+	i := len(b.open)
+	for ; i > 0; i-- {
+		if w := b.open[i-1]; w.start == start {
+			return w
+		} else if w.start < start {
+			break
+		}
+	}
+	var w *openWindow
+	if n := len(b.free); n > 0 {
+		w = b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+	} else if b.plan.comb != nil {
+		w = &openWindow{counts: map[winKey]int64{}}
+	} else {
+		w = &openWindow{states: map[winKey]State{}}
+	}
+	w.start = start
+	b.open = slices.Insert(b.open, i, w)
+	return w
 }
 
 // tagTrace remembers that a traced partial merged into sl, so the
@@ -158,18 +265,9 @@ func (b *FinalBolt) takeTrace(sl slot) uint64 {
 
 // publishLive updates the live-slot gauge when it changed.
 func (b *FinalBolt) publishLive() {
-	var live int
-	switch {
-	case b.strCounts != nil:
-		live = len(b.strCounts) + len(b.intCounts)
-	case b.counts != nil:
-		live = len(b.counts)
-	default:
-		live = len(b.states)
-	}
-	if live != b.lastLive {
-		b.lastLive = live
-		b.inst.setLive(int64(live))
+	if b.live != b.lastLive {
+		b.lastLive = b.live
+		b.inst.setLive(int64(b.live))
 	}
 }
 
@@ -220,75 +318,83 @@ func (b *FinalBolt) advance(m mark, out engine.Emitter) {
 }
 
 // closeUpTo emits and forgets every (key, window) whose end the
-// watermark has passed, in deterministic (start, key, hash) order. The
-// common advance that closes nothing is O(1): nothing can be due while
-// the watermark is short of the earliest live window end.
+// watermark has passed, in deterministic (start, key, hash) order. Only
+// the due windows at the front of the open list are visited; the common
+// advance that closes nothing is O(1).
 func (b *FinalBolt) closeUpTo(wm int64, out engine.Emitter) {
 	if wm <= b.closed {
 		return
 	}
 	b.closed = wm
-	if wm < b.minEnd {
+	if b.strCounts != nil {
+		// Global-window fast path: its one window ends at MaxInt64, so
+		// it closes at stream end only, every counter at once.
+		if wm == math.MaxInt64 {
+			b.closeFast(out)
+		}
 		return
 	}
 	sp := &b.plan.spec
-	if b.strCounts != nil {
-		// Global-window fast path: wm has reached MaxInt64 (stream end);
-		// every counter closes, in deterministic key order.
-		b.closeFast(out)
+	ndue, closing := 0, 0
+	for _, w := range b.open {
+		if sp.end(w.start) > wm {
+			break
+		}
+		ndue++
+		closing += len(w.counts) + len(w.states)
+	}
+	if ndue == 0 {
 		return
 	}
-	next := int64(math.MaxInt64)
-	var due []slot
-	if b.counts != nil {
-		for sl := range b.counts {
-			if end := sp.end(sl.start); end <= wm {
-				due = append(due, sl)
-			} else if end < next {
-				next = end
-			}
-		}
-	} else {
-		for sl := range b.states {
-			if end := sp.end(sl.start); end <= wm {
-				due = append(due, sl)
-			} else if end < next {
-				next = end
-			}
-		}
-	}
-	b.minEnd = next
-	if len(due) == 0 {
-		return
-	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].start != due[j].start {
-			return due[i].start < due[j].start
-		}
-		if due[i].key != due[j].key {
-			return due[i].key < due[j].key
-		}
-		return due[i].hash < due[j].hash
-	})
 	now := time.Now().UnixNano()
-	for _, sl := range due {
-		var st State
-		if b.counts != nil {
-			st = b.counts[sl]
-			delete(b.counts, sl)
+	for _, w := range b.open[:ndue] {
+		due, order := b.due[:0], b.order[:0]
+		if w.counts != nil {
+			for k, n := range w.counts {
+				order = append(order, dueRef{pre: keyPrefix(k.key), i: len(due)})
+				due = append(due, dueSlot{winKey: k, st: n})
+			}
+			clear(w.counts)
 		} else {
-			st = b.states[sl]
-			delete(b.states, sl)
+			for k, st := range w.states {
+				order = append(order, dueRef{pre: keyPrefix(k.key), i: len(due)})
+				due = append(due, dueSlot{winKey: k, st: st})
+			}
+			clear(w.states)
 		}
-		if end := sp.end(sl.start); end >= wallClockFloor {
-			// Staleness: how far behind the window's end the flush that
-			// closed it ran — the visible cost of the aggregation period
-			// T (paper §V Q4). Only meaningful for wall-clock event time.
-			b.inst.hist.Observe(now - end)
+		slices.SortFunc(order, func(x, y dueRef) int {
+			if x.pre != y.pre {
+				return cmp.Compare(x.pre, y.pre)
+			}
+			a, c := &due[x.i], &due[y.i]
+			if r := strings.Compare(a.key, c.key); r != 0 {
+				return r
+			}
+			return cmp.Compare(a.hash, c.hash)
+		})
+		end := sp.end(w.start)
+		for _, o := range order {
+			d := &due[o.i]
+			if end >= wallClockFloor {
+				// Staleness: how far behind the window's end the flush
+				// that closed it ran — the visible cost of the
+				// aggregation period T (paper §V Q4). Only meaningful for
+				// wall-clock event time.
+				b.inst.hist.Observe(now - end)
+			}
+			sl := slot{hash: d.hash, key: d.key, start: w.start}
+			b.emitResult(sl, d.st, out, b.takeTrace(sl), closing)
 		}
-		b.emitResult(sl, st, out, b.takeTrace(sl), len(due))
+		// Drop the keys and states so the scratch pins nothing.
+		clear(due)
+		b.due, b.order = due[:0], order[:0]
 	}
-	b.inst.windowsClosed.Add(int64(len(due)))
+	b.free = append(b.free, b.open[:ndue]...)
+	rest := copy(b.open, b.open[ndue:])
+	clear(b.open[rest:])
+	b.open = b.open[:rest]
+	b.live -= closing
+	b.inst.windowsClosed.Add(int64(closing))
 	b.publishLive()
 }
 
@@ -323,6 +429,7 @@ func (b *FinalBolt) closeFast(out engine.Emitter) {
 	}
 	clear(b.strCounts)
 	clear(b.intCounts)
+	b.live = 0
 	b.inst.windowsClosed.Add(int64(n))
 	b.publishLive()
 }

@@ -2,6 +2,7 @@ package window
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -275,11 +276,39 @@ type FinalHandler struct {
 	rc      ResultCodec
 	sources int
 	finals  map[uint32]bool
-	results []wire.WindowResult
+	results resultLog
 	subs    []*finalSub
 	bad     int64
 	unenc   int64
 	done    bool
+}
+
+// resultLog is a final node's append-only log of closed windows, held
+// in pages of resultsPage results. Appending never copies what is
+// already logged: one growing slice would, at every growth step, hold
+// the whole log twice until the next GC — the largest transient in a
+// final node's heap.
+type resultLog struct {
+	pages [][]wire.WindowResult
+	n     int
+}
+
+func (l *resultLog) add(r wire.WindowResult) {
+	if l.n%resultsPage == 0 {
+		l.pages = append(l.pages, nil)
+	}
+	last := &l.pages[len(l.pages)-1]
+	*last = append(*last, r)
+	l.n++
+}
+
+// from returns the logged results from offset off (0 ≤ off ≤ n) to the
+// end of off's page: at most resultsPage of them, empty at the end.
+func (l *resultLog) from(off int) []wire.WindowResult {
+	if off == l.n {
+		return nil
+	}
+	return l.pages[off/resultsPage][off%resultsPage:]
 }
 
 // finalSub is one push subscription: a sink bound to the subscriber's
@@ -345,7 +374,7 @@ func (c *resultCollector) Emit(t engine.Tuple) {
 		}
 		wr.Raw = h.rc.EncodeResult(res.Key, v)
 	}
-	h.results = append(h.results, wr)
+	h.results.add(wr)
 }
 
 // HandleTuple implements transport.Handler: a final node consumes
@@ -356,7 +385,9 @@ func (h *FinalHandler) HandleTuple(*wire.Tuple) {
 	h.mu.Unlock()
 }
 
-// HandlePartial implements transport.Handler.
+// HandlePartial implements transport.Handler. The partial merges
+// unboxed: a count goes in as a plain int64, so merging into a live
+// slot allocates nothing.
 func (h *FinalHandler) HandlePartial(p *wire.Partial) {
 	var st State
 	if p.Raw != nil {
@@ -373,13 +404,18 @@ func (h *FinalHandler) HandlePartial(p *wire.Partial) {
 			h.mu.Unlock()
 			return
 		}
-	} else {
+	} else if h.codec != nil {
+		// General path, no raw state: the count is the state.
 		st = p.Count
 	}
-	t := engine.Tuple{Key: p.Key, KeyHash: p.KeyHash, TraceID: p.TraceID,
-		Values: engine.Values{partialState{start: p.Start, state: st}}}
+	var hash uint64
+	if h.plan.mergeHashes(p.Key) {
+		// The same routing hash Execute takes from the tuple.
+		t := engine.Tuple{Key: p.Key, KeyHash: p.KeyHash}
+		hash = t.RouteKey()
+	}
 	h.mu.Lock()
-	h.bolt.Execute(t, (*resultCollector)(h))
+	h.bolt.merge(p.Key, hash, p.Start, p.Count, st, p.TraceID)
 	h.mu.Unlock()
 }
 
@@ -409,8 +445,8 @@ func (h *FinalHandler) HandleSubscribe(s wire.Subscribe, sink transport.ResultSi
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	off := int(s.Offset)
-	if off < 0 || off > len(h.results) {
-		off = len(h.results)
+	if off < 0 || off > h.results.n {
+		off = h.results.n
 	}
 	sub := &finalSub{sink: sink, off: off}
 	if h.pushTo(sub) {
@@ -440,16 +476,14 @@ func (h *FinalHandler) pushAll() {
 // push stays well under wire.MaxPayload) and, once the node is done,
 // exactly one Done frame. It reports whether the sink is still alive.
 func (h *FinalHandler) pushTo(sub *finalSub) bool {
-	for sub.off < len(h.results) || (h.done && !sub.toldDone) {
-		end := sub.off + resultsPage
-		if end > len(h.results) {
-			end = len(h.results)
-		}
+	for sub.off < h.results.n || (h.done && !sub.toldDone) {
+		page := h.results.from(sub.off)
+		end := sub.off + len(page)
 		rep := wire.Reply{
 			Op:      wire.OpResults,
-			Done:    h.done && end == len(h.results),
-			Count:   int64(len(h.results)),
-			Results: h.results[sub.off:end],
+			Done:    h.done && end == h.results.n,
+			Count:   int64(h.results.n),
+			Results: page,
 		}
 		if err := sub.sink.Push(&rep); err != nil {
 			return false
@@ -482,21 +516,18 @@ func (h *FinalHandler) HandleQuery(q wire.Query) wire.Reply {
 	switch q.Op {
 	case wire.OpResults:
 		off := int(q.Key)
-		if off < 0 || off > len(h.results) {
-			off = len(h.results)
+		if off < 0 || off > h.results.n {
+			off = h.results.n
 		}
-		end := off + resultsPage
-		if end > len(h.results) {
-			end = len(h.results)
-		}
-		out := make([]wire.WindowResult, end-off)
-		copy(out, h.results[off:end])
-		return wire.Reply{Op: q.Op, Done: h.done, Count: int64(len(h.results)), Results: out}
+		out := slices.Clone(h.results.from(off))
+		return wire.Reply{Op: q.Op, Done: h.done, Count: int64(h.results.n), Results: out}
 	case wire.OpCount:
 		var total int64
-		for i := range h.results {
-			if h.results[i].KeyHash == q.Key {
-				total += h.results[i].Value
+		for _, page := range h.results.pages {
+			for i := range page {
+				if page[i].KeyHash == q.Key {
+					total += page[i].Value
+				}
 			}
 		}
 		return wire.Reply{Op: q.Op, Done: h.done, Count: total}
@@ -504,7 +535,7 @@ func (h *FinalHandler) HandleQuery(q wire.Query) wire.Reply {
 		// A final node has no outbound edge: the edge fields stay zero
 		// and only the window-progress half of the telemetry is live.
 		return wire.Reply{
-			Op: q.Op, Done: h.done, Count: int64(len(h.results)),
+			Op: q.Op, Done: h.done, Count: int64(h.results.n),
 			Stale:     wireHist(h.bolt.inst.hist.Snapshot()),
 			Telemetry: telemetry(h.bolt.WindowStats(), engine.EdgeStats{}, metrics.HistSnapshot{}),
 		}
@@ -546,8 +577,10 @@ func (h *FinalHandler) WaitDone(timeout time.Duration) error {
 func (h *FinalHandler) Results() []wire.WindowResult {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]wire.WindowResult, len(h.results))
-	copy(out, h.results)
+	out := make([]wire.WindowResult, 0, h.results.n)
+	for _, page := range h.results.pages {
+		out = append(out, page...)
+	}
 	return out
 }
 

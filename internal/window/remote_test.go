@@ -2,6 +2,8 @@ package window
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -312,5 +314,73 @@ func TestFinalHandlerAnswersPointQueries(t *testing.T) {
 	}
 	if !rep.Done || rep.Count != 30 {
 		t.Fatalf("OpCount reply %+v, want done with 30", rep)
+	}
+}
+
+// pageSink is a push subscriber that copies out every pushed page.
+type pageSink struct {
+	got   []wire.WindowResult
+	pages int
+	done  int
+}
+
+func (s *pageSink) Push(rep *wire.Reply) error {
+	s.got = append(s.got, rep.Results...)
+	s.pages++
+	if rep.Done {
+		s.done++
+	}
+	return nil
+}
+
+// TestFinalHandlerResultLogPages closes more windows than one result
+// page holds, with one subscriber from the start and one joining
+// mid-page, and checks that pushes, offset queries, point counts and
+// Results all see the same log in close order.
+func TestFinalHandlerResultLogPages(t *testing.T) {
+	h, err := MustPlan(Count{}, Spec{Size: 10 * time.Millisecond}).NewFinalHandler(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := &pageSink{}
+	h.HandleSubscribe(wire.Subscribe{}, early)
+	const keys = resultsPage + resultsPage/2
+	for i := 0; i < keys; i++ {
+		h.HandlePartial(&wire.Partial{KeyHash: uint64(i + 1), Start: 0, Count: int64(i)})
+	}
+	h.HandleMark(wire.Mark{Source: 0, WM: int64(10 * time.Millisecond)})
+	late := &pageSink{}
+	h.HandleSubscribe(wire.Subscribe{Offset: resultsPage - 7}, late)
+	h.HandlePartial(&wire.Partial{KeyHash: 7, Start: int64(10 * time.Millisecond), Count: 5})
+	h.HandleMark(wire.Mark{Source: 0, WM: math.MaxInt64})
+
+	all := h.Results()
+	if len(all) != keys+1 {
+		t.Fatalf("Results: %d, want %d", len(all), keys+1)
+	}
+	for i := 0; i < keys; i++ {
+		if r := all[i]; r.KeyHash != uint64(i+1) || r.Value != int64(i) || r.Start != 0 {
+			t.Fatalf("result %d = %+v, want hash %d value %d", i, r, i+1, i)
+		}
+	}
+	if !reflect.DeepEqual(early.got, all) || early.done != 1 {
+		t.Fatalf("early subscriber: %d results, %d done frames", len(early.got), early.done)
+	}
+	if !reflect.DeepEqual(late.got, all[resultsPage-7:]) || late.done != 1 {
+		t.Fatalf("late subscriber: %d results, %d done frames", len(late.got), late.done)
+	}
+	var paged []wire.WindowResult
+	for len(paged) < len(all) {
+		rep := h.HandleQuery(wire.Query{Op: wire.OpResults, Key: uint64(len(paged))})
+		if len(rep.Results) == 0 || len(rep.Results) > resultsPage || rep.Count != int64(len(all)) {
+			t.Fatalf("page at %d: %d results, count %d", len(paged), len(rep.Results), rep.Count)
+		}
+		paged = append(paged, rep.Results...)
+	}
+	if !reflect.DeepEqual(paged, all) {
+		t.Fatal("paged OpResults differ from Results")
+	}
+	if rep := h.HandleQuery(wire.Query{Op: wire.OpCount, Key: 7}); rep.Count != 6+5 {
+		t.Fatalf("OpCount(7) = %d, want 11", rep.Count)
 	}
 }
